@@ -1,5 +1,6 @@
 // Wire-format unit tests: primitive codecs (including the total-domain
-// sentinel escapes), registry registration rules, a deterministic-rng
+// sentinel escapes), a differential fuzz of the codec against a
+// bit-at-a-time reference, registry registration rules, a deterministic-rng
 // round-trip fuzz over every action registered in this binary, rejection
 // of truncated / corrupted frames, and golden byte-layout fixtures — one
 // payload per layer — that pin the encoding so accidental format changes
@@ -99,6 +100,17 @@ void expect_value_roundtrip(const V& v) {
     w.finish();
   }
   EXPECT_EQ(buf2, buf);
+}
+
+/// Append a *valid* CRC trailer over the current bytes, so a test can put
+/// a deliberately malformed body behind a passing checksum and prove the
+/// structural audit (padding, trailing bytes) rejects it on its own.
+void reseal_crc(std::vector<std::uint8_t>& buf) {
+  const std::uint32_t crc = wire::crc32c(buf.data(), buf.size());
+  buf.push_back(static_cast<std::uint8_t>(crc >> 24));
+  buf.push_back(static_cast<std::uint8_t>(crc >> 16));
+  buf.push_back(static_cast<std::uint8_t>(crc >> 8));
+  buf.push_back(static_cast<std::uint8_t>(crc));
 }
 
 /// A u64 drawn from a magnitude-stratified distribution: small values,
@@ -311,6 +323,13 @@ TEST(WirePrimitives, GammaRejectsAllOnes) {
   std::vector<std::uint8_t> buf;
   wire::WireWriter w(buf);
   EXPECT_THROW(w.gamma(~0ull), CheckFailure);
+  // Reading back: the 65-bit ~0 escape is gammau's alone.
+  w.gammau(~0ull);
+  w.finish();
+  wire::WireReader total(buf);
+  EXPECT_EQ(total.gammau(), ~0ull);
+  wire::WireReader plain(buf);
+  EXPECT_THROW(plain.gamma(), CheckFailure);
 }
 
 TEST(WirePrimitives, WriterReusesBufferCapacity) {
@@ -328,6 +347,426 @@ TEST(WirePrimitives, WriterReusesBufferCapacity) {
   }
   EXPECT_EQ(buf, (std::vector<std::uint8_t>{0x05}));
   EXPECT_EQ(buf.capacity(), cap) << "reuse must not shrink the buffer";
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzz against a bit-at-a-time reference codec
+// ---------------------------------------------------------------------------
+// The production codec moves up to 64 bits per step. The reference below
+// moves one bit per step and spells out the format directly: same fields,
+// same checks, same rejections. The fuzz drives both with seeded field
+// sequences that start at every bit offset, so the word codec's flush and
+// window boundaries are hit at every alignment, not only the ones real
+// payloads happen to produce.
+
+class RefWriter {
+ public:
+  explicit RefWriter(std::vector<std::uint8_t>& buf) : buf_(buf) {
+    buf_.clear();
+  }
+
+  void bits(std::uint64_t v, std::uint32_t width) {
+    SKS_CHECK(width <= 64);
+    for (std::uint32_t i = width; i-- > 0;) push_bit((v >> i) & 1u);
+  }
+  void leb(std::uint64_t v) {
+    do {
+      const std::uint64_t group = v & 0x7f;
+      v >>= 7;
+      bits(group | (v != 0 ? 0x80u : 0x00u), 8);
+    } while (v != 0);
+  }
+  void zz64(std::uint64_t x) { leb(zigzag(x)); }
+  void gamma(std::uint64_t v) {
+    SKS_CHECK(v != ~0ull);
+    const std::uint64_t n = v + 1;
+    std::uint32_t w = 0;
+    while (w < 63 && (n >> (w + 1)) != 0) ++w;
+    bits(0, w);
+    bits(n, w + 1);
+  }
+  void gammau(std::uint64_t v) {
+    if (v == ~0ull) {
+      bits(0, 64);
+      bits(1, 1);
+      return;
+    }
+    gamma(v);
+  }
+  void delta(std::uint64_t v) {
+    if (v == ~0ull) {
+      gamma(64);
+      return;
+    }
+    const std::uint64_t x = v + 1;
+    std::uint32_t len = 0;
+    while (len < 63 && (x >> (len + 1)) != 0) ++len;
+    gamma(len);
+    bits(x, len);
+  }
+  void gamma_zz(std::uint64_t x) { gamma(zigzag(x)); }
+  void boolean(bool b) { push_bit(b ? 1u : 0u); }
+  void interval(std::uint64_t lo, std::uint64_t hi) {
+    zz64(lo);
+    zz64(hi - lo + 1);
+  }
+
+  void note_frame_header_end() { frame_header_end_ = bit_count_; }
+  void note_inner_start() { inner_start_ = bit_count_; }
+  std::uint64_t bit_count() const { return bit_count_; }
+  std::uint64_t frame_header_end() const { return frame_header_end_; }
+  std::uint64_t inner_start() const { return inner_start_; }
+
+  void finish() {
+    while ((bit_count_ % 8) != 0) push_bit(0);
+  }
+  void append_crc32c() {
+    SKS_CHECK((bit_count_ % 8) == 0);
+    bits(wire::crc32c(buf_.data(), buf_.size()), wire::kCrcTrailerBits);
+  }
+
+ private:
+  static std::uint64_t zigzag(std::uint64_t x) {
+    return (x << 1) ^
+           static_cast<std::uint64_t>(static_cast<std::int64_t>(x) >> 63);
+  }
+  void push_bit(std::uint64_t b) {
+    const std::size_t byte = static_cast<std::size_t>(bit_count_ / 8);
+    if (byte == buf_.size()) buf_.push_back(0);
+    if (b != 0) {
+      buf_[byte] = static_cast<std::uint8_t>(buf_[byte] |
+                                             (0x80u >> (bit_count_ % 8)));
+    }
+    ++bit_count_;
+  }
+
+  std::vector<std::uint8_t>& buf_;
+  std::uint64_t bit_count_ = 0;
+  std::uint64_t frame_header_end_ = 0;
+  std::uint64_t inner_start_ = 0;
+};
+
+class RefReader {
+ public:
+  RefReader(const std::uint8_t* data, std::size_t size)
+      : data_(data), bit_limit_(static_cast<std::uint64_t>(size) * 8) {}
+
+  std::uint64_t bits(std::uint32_t width) {
+    SKS_CHECK(width <= 64);
+    std::uint64_t v = 0;
+    for (std::uint32_t i = 0; i < width; ++i) v = (v << 1) | pull_bit();
+    return v;
+  }
+  std::uint64_t leb() {
+    std::uint64_t v = 0;
+    for (std::uint32_t shift = 0;; shift += 7) {
+      const std::uint64_t group = bits(8);
+      SKS_CHECK(shift < 63 || group == 1);  // a 10th group holds bit 63 only
+      v |= (group & 0x7f) << shift;
+      if ((group & 0x80) == 0) {
+        SKS_CHECK(group != 0 || shift == 0);  // no trailing zero group
+        return v;
+      }
+    }
+  }
+  std::uint64_t zz64() { return unzigzag(leb()); }
+  std::uint64_t gamma() {
+    std::uint32_t w = 0;
+    while (bits(1) == 0) {
+      SKS_CHECK(w < 63);
+      ++w;
+    }
+    std::uint64_t n = 1;
+    if (w > 0) n = (n << w) | bits(w);
+    return n - 1;
+  }
+  std::uint64_t gammau() {
+    std::uint32_t w = 0;
+    while (bits(1) == 0) {
+      SKS_CHECK(w < 64);
+      ++w;
+    }
+    if (w == 64) return ~0ull;
+    std::uint64_t n = 1;
+    if (w > 0) n = (n << w) | bits(w);
+    return n - 1;
+  }
+  std::uint64_t delta() {
+    const std::uint64_t len = gamma();
+    if (len == 64) return ~0ull;
+    SKS_CHECK(len < 64);
+    return ((std::uint64_t{1} << len) |
+            bits(static_cast<std::uint32_t>(len))) - 1;
+  }
+  std::uint64_t gamma_zz() { return unzigzag(gamma()); }
+  bool boolean() { return bits(1) != 0; }
+  wire::WireReader::Iv interval() {
+    const std::uint64_t lo = zz64();
+    const std::uint64_t len = zz64();
+    return {lo, lo + len - 1};
+  }
+
+  std::uint64_t bit_pos() const { return bit_pos_; }
+
+  void verify_crc32c_trailer() {
+    SKS_CHECK(bit_pos_ == 0);
+    SKS_CHECK((bit_limit_ % 8) == 0 &&
+              bit_limit_ >= 8 + wire::kCrcTrailerBits);
+    // Read the trailer as a field, then shrink the window to the body.
+    bit_pos_ = bit_limit_ - wire::kCrcTrailerBits;
+    const std::uint64_t stored = bits(wire::kCrcTrailerBits);
+    bit_limit_ -= wire::kCrcTrailerBits;
+    bit_pos_ = 0;
+    const auto body = static_cast<std::size_t>(bit_limit_ / 8);
+    SKS_CHECK(stored == wire::crc32c(data_, body));
+  }
+  void finish() {
+    SKS_CHECK(bit_limit_ - bit_pos_ < 8);
+    while (bit_pos_ < bit_limit_) SKS_CHECK(pull_bit() == 0);
+  }
+
+ private:
+  static std::uint64_t unzigzag(std::uint64_t z) {
+    return (z >> 1) ^ (~(z & 1) + 1);
+  }
+  std::uint64_t pull_bit() {
+    SKS_CHECK(bit_pos_ < bit_limit_);
+    const std::uint64_t byte = data_[bit_pos_ / 8];
+    const std::uint64_t b = (byte >> (7 - bit_pos_ % 8)) & 1u;
+    ++bit_pos_;
+    return b;
+  }
+
+  const std::uint8_t* data_;
+  std::uint64_t bit_limit_;
+  std::uint64_t bit_pos_ = 0;
+};
+
+enum class Prim : std::uint8_t {
+  kBits, kLeb, kZz64, kGamma, kGammau, kDelta, kGammaZz, kBoolean, kInterval,
+};
+constexpr std::uint64_t kNumPrims = 9;
+
+/// One primitive call: `a` is the value (interval: lo), `b` the interval's
+/// hi, `width` the bits() width.
+struct Field {
+  Prim prim = Prim::kBits;
+  std::uint32_t width = 0;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
+/// A field sequence framed like a real message: `lead` bits (1..8, a
+/// stand-in for the frame tag) before the header mark set the start
+/// offset of the first field, and the inner mark sits before
+/// fields[inner_at] (none when inner_at == size()).
+struct Message {
+  std::uint32_t lead = 0;
+  std::uint64_t lead_value = 0;
+  std::vector<Field> fields;
+  std::size_t inner_at = 0;
+  bool crc = false;
+};
+
+/// Every bit length is equally likely, plus the all-ones sentinels and
+/// their neighbours: varint group counts, gamma widths past 32 and the
+/// escape codes all come up.
+std::uint64_t rand_edge_u64(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0: return rng.below(16);
+    case 1: return rng.next() >> rng.below(64);
+    case 2: return ~0ull - rng.below(3);
+    default: return rng.next();
+  }
+}
+
+Field rand_field(Rng& rng) {
+  Field f;
+  f.prim = static_cast<Prim>(rng.below(kNumPrims));
+  f.width = static_cast<std::uint32_t>(rng.below(65));
+  f.a = rand_edge_u64(rng);
+  f.b = rand_edge_u64(rng);
+  if (f.prim == Prim::kGamma && f.a == ~0ull) --f.a;  // outside gamma's domain
+  return f;
+}
+
+Message rand_message(Rng& rng, std::uint32_t lead) {
+  Message m;
+  m.lead = lead;
+  m.lead_value = rng.next();  // bits() must drop everything above `lead`
+  const std::uint64_t n = rng.below(12);
+  for (std::uint64_t i = 0; i < n; ++i) m.fields.push_back(rand_field(rng));
+  m.inner_at = static_cast<std::size_t>(rng.below(n + 1));
+  m.crc = rng.below(2) != 0;
+  return m;
+}
+
+template <class W>
+void write_field(W& w, const Field& f) {
+  switch (f.prim) {
+    case Prim::kBits: w.bits(f.a, f.width); break;
+    case Prim::kLeb: w.leb(f.a); break;
+    case Prim::kZz64: w.zz64(f.a); break;
+    case Prim::kGamma: w.gamma(f.a); break;
+    case Prim::kGammau: w.gammau(f.a); break;
+    case Prim::kDelta: w.delta(f.a); break;
+    case Prim::kGammaZz: w.gamma_zz(f.a); break;
+    case Prim::kBoolean: w.boolean((f.a & 1) != 0); break;
+    case Prim::kInterval: w.interval(f.a, f.b); break;
+  }
+}
+
+/// The value(s) reading `f` back must yield.
+void expected_values(const Field& f, std::vector<std::uint64_t>& out) {
+  switch (f.prim) {
+    case Prim::kBits:
+      out.push_back(f.width == 64 ? f.a
+                                  : f.a & ((std::uint64_t{1} << f.width) - 1));
+      break;
+    case Prim::kBoolean: out.push_back(f.a & 1); break;
+    case Prim::kInterval:
+      out.push_back(f.a);
+      out.push_back(f.b);
+      break;
+    default: out.push_back(f.a); break;
+  }
+}
+
+struct Written {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t bit_count = 0;
+  std::uint64_t frame_header_end = 0;
+  std::uint64_t inner_start = 0;
+};
+
+template <class W>
+Written write_message(const Message& m) {
+  Written out;
+  W w(out.bytes);
+  w.bits(m.lead_value, m.lead);
+  w.note_frame_header_end();
+  for (std::size_t i = 0; i < m.fields.size(); ++i) {
+    if (i == m.inner_at) w.note_inner_start();
+    write_field(w, m.fields[i]);
+  }
+  w.finish();
+  if (m.crc) w.append_crc32c();
+  out.bit_count = w.bit_count();
+  out.frame_header_end = w.frame_header_end();
+  out.inner_start = w.inner_start();
+  return out;
+}
+
+/// Decoded values plus the read position after each field, so two readers
+/// that agree on values but consume different bit counts still differ.
+/// `rejected` marks a CheckFailure; the fields read before it stay, so two
+/// readers must also reject at the same field.
+struct Decoded {
+  std::vector<std::uint64_t> values;
+  std::vector<std::uint64_t> positions;
+  bool rejected = false;
+  bool operator==(const Decoded&) const = default;
+};
+
+template <class R>
+Decoded read_message(const Message& m, const std::uint8_t* data,
+                     std::size_t size) {
+  Decoded out;
+  try {
+    R r(data, size);
+    if (m.crc) r.verify_crc32c_trailer();
+    out.values.push_back(r.bits(m.lead));
+    for (const Field& f : m.fields) {
+      switch (f.prim) {
+        case Prim::kBits: out.values.push_back(r.bits(f.width)); break;
+        case Prim::kLeb: out.values.push_back(r.leb()); break;
+        case Prim::kZz64: out.values.push_back(r.zz64()); break;
+        case Prim::kGamma: out.values.push_back(r.gamma()); break;
+        case Prim::kGammau: out.values.push_back(r.gammau()); break;
+        case Prim::kDelta: out.values.push_back(r.delta()); break;
+        case Prim::kGammaZz: out.values.push_back(r.gamma_zz()); break;
+        case Prim::kBoolean: out.values.push_back(r.boolean()); break;
+        case Prim::kInterval: {
+          const auto iv = r.interval();
+          out.values.push_back(iv.lo);
+          out.values.push_back(iv.hi);
+          break;
+        }
+      }
+      out.positions.push_back(r.bit_pos());
+    }
+    r.finish();
+  } catch (const CheckFailure&) {
+    out.rejected = true;
+  }
+  return out;
+}
+
+TEST(WireDifferential, WordCodecMatchesBitAtATimeReference) {
+  Rng rng(0xd1ff0c0dULL);
+  for (int rep = 0; rep < 2000; ++rep) {
+    const auto lead = static_cast<std::uint32_t>(1 + rep % 8);
+    const Message m = rand_message(rng, lead);
+    const Written got = write_message<wire::WireWriter>(m);
+    const Written ref = write_message<RefWriter>(m);
+    ASSERT_EQ(got.bytes, ref.bytes) << "rep " << rep;
+    EXPECT_EQ(got.bit_count, ref.bit_count) << "rep " << rep;
+    EXPECT_EQ(got.frame_header_end, ref.frame_header_end) << "rep " << rep;
+    EXPECT_EQ(got.inner_start, ref.inner_start) << "rep " << rep;
+
+    const std::uint8_t* data = got.bytes.data();
+    const std::size_t size = got.bytes.size();
+    const Decoded decoded = read_message<wire::WireReader>(m, data, size);
+    EXPECT_FALSE(decoded.rejected) << "rep " << rep;
+    EXPECT_EQ(decoded, read_message<RefReader>(m, data, size))
+        << "rep " << rep;
+    std::vector<std::uint64_t> want{m.lead_value &
+                                    ((std::uint64_t{1} << lead) - 1)};
+    for (const Field& f : m.fields) expected_values(f, want);
+    EXPECT_EQ(decoded.values, want) << "rep " << rep;
+
+    // Every byte carries at least one field or trailer bit, so every cut
+    // must be rejected, by both readers at the same field.
+    for (std::size_t len = 0; len < size; ++len) {
+      const Decoded cut = read_message<wire::WireReader>(m, data, len);
+      EXPECT_TRUE(cut.rejected) << "rep " << rep << " cut to " << len;
+      EXPECT_EQ(cut, read_message<RefReader>(m, data, len))
+          << "rep " << rep << " cut to " << len;
+    }
+  }
+}
+
+TEST(WireDifferential, ReadersAgreeOnArbitraryBytes) {
+  // Byte soup biased toward long zero and one runs (gamma prefixes, the
+  // 64-zero escape, varint continuation chains), read as a random field
+  // sequence: both readers must decode the same values, consume the same
+  // bits and reject at the same field.
+  Rng rng(0xa9b1ee5ULL);
+  std::vector<std::uint8_t> buf;
+  std::uint64_t fields_read = 0;
+  for (int rep = 0; rep < 20000; ++rep) {
+    buf.resize(static_cast<std::size_t>(rng.below(40)));
+    for (std::uint8_t& b : buf) {
+      switch (rng.below(4)) {
+        case 0: b = 0x00; break;
+        case 1: b = 0xff; break;
+        default: b = static_cast<std::uint8_t>(rng.below(256)); break;
+      }
+    }
+    // Half the strings carry a valid CRC trailer. The readable end then
+    // comes before the buffer end, as in every real frame, and reads must
+    // stop there even though the trailer bytes follow.
+    Message m = rand_message(rng, static_cast<std::uint32_t>(1 + rep % 8));
+    m.crc = m.crc && !buf.empty();
+    if (m.crc) reseal_crc(buf);
+    const Decoded got = read_message<wire::WireReader>(m, buf.data(),
+                                                       buf.size());
+    EXPECT_EQ(got, read_message<RefReader>(m, buf.data(), buf.size()))
+        << "rep " << rep;
+    fields_read += got.positions.size();
+  }
+  // The soup must exercise the readers, not fail on the first field.
+  EXPECT_GT(fields_read, 20000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -896,17 +1335,6 @@ TEST(WireReject, TruncatedFramesNeverReproduceTheOriginal) {
   }
 }
 
-/// Append a *valid* CRC trailer over the current bytes, so a test can put
-/// a deliberately malformed body behind a passing checksum and prove the
-/// structural audit (padding, trailing bytes) rejects it on its own.
-void reseal_crc(std::vector<std::uint8_t>& buf) {
-  const std::uint32_t crc = wire::crc32c(buf.data(), buf.size());
-  buf.push_back(static_cast<std::uint8_t>(crc >> 24));
-  buf.push_back(static_cast<std::uint8_t>(crc >> 16));
-  buf.push_back(static_cast<std::uint8_t>(crc >> 8));
-  buf.push_back(static_cast<std::uint8_t>(crc));
-}
-
 TEST(WireReject, NonzeroPaddingIsRejected) {
   sim::ReliableAck ack;
   ack.acked_seq = 5;
@@ -922,6 +1350,31 @@ TEST(WireReject, NonzeroPaddingIsRejected) {
   reseal_crc(buf);  // valid trailer: the padding audit must reject alone
   wire::WireReader r(buf);
   EXPECT_THROW(sim::decode_frame(r), CheckFailure);
+}
+
+TEST(WireReject, OverlongAndNonMinimalVarintsAreRejected) {
+  const auto leb_of = [](const std::vector<std::uint8_t>& bytes) {
+    wire::WireReader r(bytes);
+    return r.leb();
+  };
+  const std::vector<std::uint8_t> nine_ff(9, 0xff);
+  const auto after_nine_ff = [&](std::vector<std::uint8_t> tail) {
+    std::vector<std::uint8_t> bytes = nine_ff;
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    return bytes;
+  };
+  // The writer's extremes decode: the lone zero group and ~0, whose 10th
+  // group carries bit 63 alone.
+  EXPECT_EQ(leb_of({0x00}), 0u);
+  EXPECT_EQ(leb_of(after_nine_ff({0x01})), ~0ull);
+  // A 10th group with value bits above bit 63 (it would decode to ~0 and
+  // re-encode as ff×9 01), or one continuing into an 11th group.
+  EXPECT_THROW(leb_of(after_nine_ff({0x7f})), CheckFailure);
+  EXPECT_THROW(leb_of(after_nine_ff({0x02})), CheckFailure);
+  EXPECT_THROW(leb_of(after_nine_ff({0x81, 0x00})), CheckFailure);
+  // A trailing all-zero group: a second spelling of a shorter varint.
+  EXPECT_THROW(leb_of({0x80, 0x00}), CheckFailure);
+  EXPECT_THROW(leb_of({0x85, 0x80, 0x00}), CheckFailure);
 }
 
 TEST(WireReject, TrailingBytesAreRejected) {

@@ -66,12 +66,32 @@ struct NullPayload final : Action<NullPayload> {
   }
 };
 
+/// Carries a full 64-bit field, so its frame fills a whole codec word.
+struct WidePayload final : Action<WidePayload> {
+  static constexpr const char* kActionName = "wide";
+  std::uint64_t value = 0;
+  std::uint64_t size_bits() const override { return 64; }
+
+  void encode(wire::WireWriter& w) const override { w.bits(value, 64); }
+  static Owned<WidePayload> decode(wire::WireReader& r) {
+    auto p = make_payload<WidePayload>();
+    p->value = r.bits(64);
+    return p;
+  }
+};
+
 class SinkNode : public DispatchingNode {
  public:
   SinkNode() {
     on<NullPayload>([](NodeId, Owned<NullPayload>) {});
+    on<WidePayload>([](NodeId, Owned<WidePayload>) {});
   }
   void fire(NodeId to) { send(to, make_payload<NullPayload>()); }
+  void fire_wide(NodeId to, std::uint64_t value) {
+    auto p = make_payload<WidePayload>();
+    p->value = value;
+    send(to, std::move(p));
+  }
   /// Same payload over the fire-and-forget background lane (the failure
   /// detector's heartbeat path).
   void fire_bg(NodeId to) {
@@ -237,6 +257,41 @@ TEST(ParallelZeroAlloc, ShardedMultiThreadSteadyStateAllocatesNothing) {
   EXPECT_EQ(g_allocs.load(), 0u)
       << "multi-threaded steady-state message path performed heap "
          "allocations";
+}
+
+// Wire mode marshals every send: encode into a per-shard scratch buffer,
+// decode into a pooled payload, re-encode into a second scratch buffer and
+// compare. Once both buffers have grown to the frame size, none of that
+// touches the heap. The 64-bit field makes each frame cross a codec word
+// boundary, so the word flush runs on every encode.
+TEST(ZeroAlloc, SteadyStateWireModeAllocatesNothing) {
+  NetworkConfig cfg;
+  cfg.wire = true;
+  cfg.shards = 1;
+  Network net(cfg);
+  net.add_node(std::make_unique<SinkNode>());
+  const NodeId b = net.add_node(std::make_unique<SinkNode>());
+
+  std::uint64_t value = 0x0123456789abcdefULL;
+  auto cycle = [&] {
+    for (int i = 0; i < 64; ++i) {
+      value = value * 6364136223846793005ULL + 1442695040888963407ULL;
+      net.node_as<SinkNode>(0).fire_wide(b, value);
+      net.node_as<SinkNode>(0).fire(b);
+    }
+    net.run_until_idle();
+  };
+
+  for (int w = 0; w < 4; ++w) cycle();
+  ASSERT_EQ(net.num_shards(), 1u);
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  for (int r = 0; r < 16; ++r) cycle();
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u)
+      << "steady-state wire marshaling performed heap allocations";
 }
 
 // Failure-detector heartbeats ride the background lane (send_background):
